@@ -31,7 +31,9 @@
 //! `BDSM_THREADS`.
 
 use crate::certify::{certify_reduced, Certificate, ResidualSweep};
-use crate::krylov::{collect_points, merge_candidate_sets, merge_candidates, ExpansionPoint};
+use crate::krylov::{
+    collect_points, merge_candidate_sets, merge_candidates, Candidates, ExpansionPoint,
+};
 use crate::projector::{BlockDiagProjector, InterfacePolicy};
 use crate::reduce::{
     CoreError, DenseDescriptor, ReducedModel, ReductionOpts, Result, SolverBackend,
@@ -325,9 +327,9 @@ impl<'n> ReductionEngine<'n> {
     /// shifted factorizations.
     pub fn basis(&self, plan: &Plan, points: &[ExpansionPoint]) -> Result<Matrix> {
         self.validate_points(points)?;
-        let raw = self.candidate_sets(plan, points);
+        let cands = self.candidate_sets(plan, points)?;
         Ok(merge_candidates(
-            raw,
+            cands,
             self.opts.krylov.deflation_tol,
             self.opts.krylov.ortho,
         )?)
@@ -348,7 +350,7 @@ impl<'n> ReductionEngine<'n> {
         &self,
         plan: &Plan,
         points: &[ExpansionPoint],
-    ) -> Vec<bdsm_linalg::Result<Vec<Vec<f64>>>> {
+    ) -> bdsm_linalg::Result<Candidates> {
         match (&plan.pencil, &plan.dense) {
             (Some(pencil), _) => crate::krylov::candidates_for_points_sparse(
                 pencil,
@@ -628,7 +630,7 @@ impl<'n> ReductionEngine<'n> {
         // that point, so they are computed exactly once.
         let mut cache = {
             let _s = timing_span!("stage.krylov", points = points.len());
-            collect_ok(self.candidate_sets(plan, &points))?
+            vec![self.candidate_sets(plan, &points)?]
         };
 
         // The full model never changes across rounds: its candidate-grid
@@ -699,7 +701,7 @@ impl<'n> ReductionEngine<'n> {
             let pt = ExpansionPoint::Jomega(w_next);
             {
                 let _s = timing_span!("stage.krylov");
-                cache.extend(collect_ok(self.candidate_sets(plan, &[pt]))?);
+                cache.push(self.candidate_sets(plan, &[pt])?);
             }
             points.push(pt);
         };
@@ -729,14 +731,4 @@ impl<'n> ReductionEngine<'n> {
         };
         Ok((rom, report))
     }
-}
-
-/// Collects per-point candidate results, surfacing the first failure (in
-/// point order, matching the fixed-path merge semantics).
-fn collect_ok(raw: Vec<bdsm_linalg::Result<Vec<Vec<f64>>>>) -> Result<Vec<Vec<Vec<f64>>>> {
-    let mut out = Vec::with_capacity(raw.len());
-    for r in raw {
-        out.push(r?);
-    }
-    Ok(out)
 }

@@ -31,6 +31,24 @@
 //! kernels produce the same span with the same accepted/deflated column
 //! counts at default tolerances.
 //!
+//! Every point writes its candidates straight into its own column range of
+//! one shared column-major buffer, sized up front for every column its
+//! recurrence can produce, and the merge tree then runs in that same
+//! buffer — so the basis stage holds one copy of the candidates and no
+//! per-point or per-node clones.
+//!
+//! # Subnormal scrub
+//!
+//! Krylov content decays exponentially away from the ports, so on long or
+//! heavily loaded lines the far entries of a shifted solve fall below
+//! `f64::MIN_POSITIVE`, and every multiply–add on such subnormal operands
+//! takes a microcode slow path. The recurrences therefore set subnormal
+//! entries to zero after every shifted solve and after normalizing every
+//! accepted column — in both kernels, so they keep their parity. This
+//! cannot change a reduced model beyond rounding: global columns are unit
+//! norm, and the projector drops block slices whose norm is ≤ 1e-150, so
+//! a zeroed entry sat more than 10¹⁵⁷ below any slice that survives.
+//!
 //! Two shifted-solve backends implement the same recurrence:
 //! [`global_krylov_basis`] densifies and LU-factors `G + s₀C` per point
 //! (the verification oracle), while [`global_krylov_basis_sparse`] builds a
@@ -41,7 +59,9 @@
 use crate::par;
 use crate::transfer::ZLu;
 use bdsm_linalg::{Complex64, DenseLu, LinalgError, Matrix, Result};
-use bdsm_sparse::{CscMatrix, LuWorkspace, Scalar, ShiftedPencil, SparseLu};
+use bdsm_sparse::{CscMatrix, LuWorkspace, ShiftedPencil, SparseLu};
+use std::ops::Range;
+use std::sync::{Mutex, PoisonError};
 
 /// Options controlling the moment-matching basis.
 #[derive(Debug, Clone)]
@@ -134,8 +154,8 @@ pub fn global_krylov_basis(
     let n = g.nrows();
     validate_krylov_args(g.is_square() && c.shape() == (n, n), n, b, opts)?;
     let points = collect_points(opts);
-    let raw = candidates_for_points_dense(g, c, b, opts, &points);
-    merge_candidates(raw, opts.deflation_tol, opts.ortho)
+    let cands = candidates_for_points_dense(g, c, b, opts, &points)?;
+    merge_candidates(cands, opts.deflation_tol, opts.ortho)
 }
 
 /// A shift's numeric factors, produced ahead of its recurrence by the
@@ -156,12 +176,14 @@ pub(crate) fn candidates_for_points_dense(
     b: &Matrix,
     opts: &KrylovOpts,
     points: &[ExpansionPoint],
-) -> Vec<Result<Vec<Vec<f64>>>> {
+) -> Result<Candidates> {
     let n = g.nrows();
-    par::pipelined_map_with(
+    Candidates::pipelined(
+        b,
+        opts,
         points,
         || (),
-        |(), i, &pt| {
+        |(), i, pt| {
             let mut s = bdsm_obs::timing_span!("krylov.point", point = i, stage = "factor");
             match pt {
                 ExpansionPoint::Real(s0) => {
@@ -179,16 +201,17 @@ pub(crate) fn candidates_for_points_dense(
                 }
             }
         },
-        |(), i, &pt, factored: Result<DenseFactor>| {
+        |i, pt, factored, out| {
             let mut s = bdsm_obs::timing_span!("krylov.point", point = i, stage = "recur");
-            match (pt, factored?) {
+            match (pt, factored) {
                 (ExpansionPoint::Real(s0), DenseFactor::Real(lu)) => {
                     s.attr("s0", s0);
                     real_point_candidates(
                         b,
                         opts,
-                        |vs| vs.iter().map(|v| lu.solve(v)).collect(),
+                        |vs| solve_columns(n, vs, |v| lu.solve(v)),
                         |v| c.matvec(v),
+                        out,
                     )
                 }
                 (ExpansionPoint::Jomega(omega), DenseFactor::Jomega(lu)) => {
@@ -209,9 +232,10 @@ pub(crate) fn candidates_for_points_dense(
                     jomega_point_candidates(
                         b,
                         opts,
-                        |vs| vs.iter().map(|v| lu.solve_real(v)).collect(),
-                        |vs| vs.iter().map(|v| lu.solve(v)).collect(),
+                        |vs| solve_columns(n, vs, |v| lu.solve_real(v)),
+                        |vs| solve_columns(n, vs, |v| lu.solve(v)),
                         apply_c,
+                        out,
                     )
                 }
                 _ => unreachable!("factor queue delivered a mismatched shift kind"),
@@ -241,8 +265,8 @@ pub fn global_krylov_basis_sparse(
     validate_krylov_args(g.is_square() && c.shape() == (n, n), n, b, opts)?;
     let pencil = ShiftedPencil::new(g, c)?;
     let points = collect_points(opts);
-    let raw = candidates_for_points_sparse(&pencil, c, b, opts, &points);
-    merge_candidates(raw, opts.deflation_tol, opts.ortho)
+    let cands = candidates_for_points_sparse(&pencil, c, b, opts, &points)?;
+    merge_candidates(cands, opts.deflation_tol, opts.ortho)
 }
 
 /// A shift's numeric factors from the sparse subsystem, produced on a
@@ -269,11 +293,14 @@ pub(crate) fn candidates_for_points_sparse(
     b: &Matrix,
     opts: &KrylovOpts,
     points: &[ExpansionPoint],
-) -> Vec<Result<Vec<Vec<f64>>>> {
-    par::pipelined_map_with(
+) -> Result<Candidates> {
+    let n = b.nrows();
+    Candidates::pipelined(
+        b,
+        opts,
         points,
         || (LuWorkspace::<f64>::new(), LuWorkspace::<Complex64>::new()),
-        |(ws_re, ws_cx), i, &pt| {
+        |(ws_re, ws_cx), i, pt| {
             let mut s = bdsm_obs::timing_span!("krylov.point", point = i, stage = "factor");
             match pt {
                 ExpansionPoint::Real(s0) => {
@@ -288,16 +315,17 @@ pub(crate) fn candidates_for_points_sparse(
                 }
             }
         },
-        |_, i, &pt, factored: Result<SparseFactor>| {
+        |i, pt, factored, out| {
             let mut s = bdsm_obs::timing_span!("krylov.point", point = i, stage = "recur");
-            match (pt, factored?) {
+            match (pt, factored) {
                 (ExpansionPoint::Real(s0), SparseFactor::Real(lu)) => {
                     s.attr("s0", s0);
                     real_point_candidates(
                         b,
                         opts,
-                        |vs| solve_block_sparse(&lu, vs),
+                        |vs| lu.solve_multi(vs, vs.len() / n),
                         |v| c.matvec(v),
+                        out,
                     )
                 }
                 (ExpansionPoint::Jomega(omega), SparseFactor::Jomega(lu)) => {
@@ -305,9 +333,10 @@ pub(crate) fn candidates_for_points_sparse(
                     jomega_point_candidates(
                         b,
                         opts,
-                        |vs| solve_real_block_sparse(&lu, vs),
-                        |vs| solve_block_sparse(&lu, vs),
+                        |vs| lu.solve_multi_real(vs, vs.len() / n),
+                        |vs| lu.solve_multi(vs, vs.len() / n),
                         |v| c.matvec_complex(v),
+                        out,
                     )
                 }
                 _ => unreachable!("factor queue delivered a mismatched shift kind"),
@@ -316,38 +345,19 @@ pub(crate) fn candidates_for_points_sparse(
     )
 }
 
-/// Batches equal-length vectors through one blocked multi-RHS sparse solve
-/// (column-major panel). Bitwise-identical to per-vector [`SparseLu::solve`]
-/// calls, so swapping it into the recurrence changes no reduced model.
-fn solve_block_sparse<T: Scalar>(lu: &SparseLu<T>, vs: &[Vec<T>]) -> Result<Vec<Vec<T>>> {
-    if vs.is_empty() {
-        return Ok(Vec::new());
+/// Applies a single-vector solve to every column of the column-major
+/// panel `vs` (leading dimension `n`) — the dense oracle's stand-in for
+/// the sparse subsystem's multi-RHS solve.
+fn solve_columns<T, U>(
+    n: usize,
+    vs: &[T],
+    solve: impl Fn(&[T]) -> Result<Vec<U>>,
+) -> Result<Vec<U>> {
+    let mut x = Vec::with_capacity(vs.len());
+    for v in vs.chunks_exact(n) {
+        x.extend(solve(v)?);
     }
-    let n = vs[0].len();
-    let mut panel = Vec::with_capacity(n * vs.len());
-    for v in vs {
-        panel.extend_from_slice(v);
-    }
-    let x = lu.solve_multi(&panel, vs.len())?;
-    Ok(x.chunks_exact(n).map(<[T]>::to_vec).collect())
-}
-
-/// Real-panel variant of [`solve_block_sparse`] for the complex pencil
-/// (the `jω` start block `(G + jω₀C)⁻¹B` with real `B`).
-fn solve_real_block_sparse(
-    lu: &SparseLu<Complex64>,
-    vs: &[Vec<f64>],
-) -> Result<Vec<Vec<Complex64>>> {
-    if vs.is_empty() {
-        return Ok(Vec::new());
-    }
-    let n = vs[0].len();
-    let mut panel = Vec::with_capacity(n * vs.len());
-    for v in vs {
-        panel.extend_from_slice(v);
-    }
-    let x = lu.solve_multi_real(&panel, vs.len())?;
-    Ok(x.chunks_exact(n).map(<[Complex64]>::to_vec).collect())
+    Ok(x)
 }
 
 fn validate_krylov_args(shapes_ok: bool, n: usize, b: &Matrix, opts: &KrylovOpts) -> Result<()> {
@@ -371,49 +381,169 @@ fn validate_krylov_args(shapes_ok: bool, n: usize, b: &Matrix, opts: &KrylovOpts
     Ok(())
 }
 
+/// A contiguous range of `width` columns of a candidate buffer, starting
+/// at column `start`, whose first `cols` columns are orthonormal. Leaves
+/// are one expansion point's candidate set; inner nodes are merge-tree
+/// nodes over adjacent sets.
+#[derive(Debug, Clone, Copy)]
+struct ColumnRange {
+    start: usize,
+    width: usize,
+    cols: usize,
+}
+
+/// Every expansion point's locally orthonormal candidate columns, in one
+/// column-major buffer (leading dimension `n`), in point order.
+///
+/// Each point owns a column range sized for every column its recurrence
+/// can produce and writes its candidates straight into it, so the sets
+/// never exist as separate allocations; the fixed-shift merge then runs in
+/// this very buffer.
+pub(crate) struct Candidates {
+    n: usize,
+    data: Vec<f64>,
+    sets: Vec<ColumnRange>,
+}
+
+impl Candidates {
+    /// Runs the factor-queue pipeline ([`crate::par::pipelined_map_with`])
+    /// over `points`: `produce` factors a shift on a worker, and `consume`
+    /// runs its recurrence into the point's column range, returning how
+    /// many columns it kept. The first failure in point order is returned.
+    fn pipelined<S, P: Send>(
+        b: &Matrix,
+        opts: &KrylovOpts,
+        points: &[ExpansionPoint],
+        init: impl Fn() -> S + Sync,
+        produce: impl Fn(&mut S, usize, ExpansionPoint) -> Result<P> + Sync,
+        consume: impl Fn(usize, ExpansionPoint, P, &mut [f64]) -> Result<usize> + Sync,
+    ) -> Result<Candidates> {
+        let n = b.nrows();
+        if n == 0 {
+            return Err(LinalgError::InvalidArgument {
+                what: "krylov: the state dimension must be positive",
+            });
+        }
+        // Per moment, a real point yields at most one column per input and
+        // a jω point two (real and imaginary parts).
+        let real_width = b.ncols() * opts.moments_per_point;
+        let mut sets = Vec::with_capacity(points.len());
+        let mut total = 0;
+        for pt in points {
+            let width = match pt {
+                ExpansionPoint::Real(_) => real_width,
+                ExpansionPoint::Jomega(_) => 2 * real_width,
+            };
+            sets.push(ColumnRange {
+                start: total,
+                width,
+                cols: 0,
+            });
+            total += width;
+        }
+        let mut data = vec![0.0; n * total];
+        let kept = {
+            let items: Vec<(ExpansionPoint, Mutex<&mut [f64]>)> = points
+                .iter()
+                .copied()
+                .zip(split_ranges(&mut data, n, &sets))
+                .collect();
+            par::pipelined_map_with(
+                &items,
+                init,
+                |state, i, &(pt, _)| produce(state, i, pt),
+                |_, i, (pt, out), factored| {
+                    let mut out = out.lock().unwrap_or_else(PoisonError::into_inner);
+                    consume(i, *pt, factored?, &mut out)
+                },
+            )
+        };
+        for (set, kept) in sets.iter_mut().zip(kept) {
+            set.cols = kept?;
+        }
+        Ok(Candidates { n, data, sets })
+    }
+
+    /// The orthonormal columns of one set (or tree node).
+    fn columns(&self, r: ColumnRange) -> std::slice::ChunksExact<'_, f64> {
+        self.data[r.start * self.n..(r.start + r.cols) * self.n].chunks_exact(self.n)
+    }
+}
+
+/// Carves the column-major buffer `data` (leading dimension `n`) into the
+/// consecutive column ranges `ranges`, one lock per range so workers can
+/// fill disjoint ranges concurrently.
+fn split_ranges<'a>(
+    data: &'a mut [f64],
+    n: usize,
+    ranges: &[ColumnRange],
+) -> Vec<Mutex<&'a mut [f64]>> {
+    let mut rest = data;
+    ranges
+        .iter()
+        .map(|r| {
+            let (range, tail) = std::mem::take(&mut rest).split_at_mut(r.width * n);
+            rest = tail;
+            Mutex::new(range)
+        })
+        .collect()
+}
+
 /// Merges per-point candidate sets into one orthonormal basis — the only
 /// cross-point coupling, so the result depends on the fixed point order,
 /// never on how the points were scheduled across workers.
-pub(crate) fn merge_candidates(
-    raw: Vec<Result<Vec<Vec<f64>>>>,
-    tol: f64,
-    kernel: OrthoKernel,
-) -> Result<Matrix> {
-    let mut sets = Vec::with_capacity(raw.len());
-    for point in raw {
-        sets.push(point?);
+pub(crate) fn merge_candidates(cands: Candidates, tol: f64, kernel: OrthoKernel) -> Result<Matrix> {
+    match kernel {
+        OrthoKernel::Mgs => merge_sets_mgs(&cands, tol),
+        OrthoKernel::Blocked => merge_sets_blocked(cands, tol),
     }
-    merge_candidate_sets(&sets, tol, kernel)
 }
 
-/// Merges **borrowed** per-point candidate sets (also the adaptive
-/// engine's cross-round cache) — the same pass and set order as
+/// Merges **cached** per-point candidate sets (the adaptive engine's
+/// cross-round cache) — the same pass and set order as
 /// [`merge_candidates`], so a cached point contributes exactly the columns
-/// it would have contributed in a single fixed-shift call.
+/// it would have contributed in a single fixed-shift call. The cache is
+/// only read: its kept columns are copied into a fresh merge buffer.
 pub(crate) fn merge_candidate_sets(
-    sets: &[Vec<Vec<f64>>],
+    cache: &[Candidates],
     tol: f64,
     kernel: OrthoKernel,
 ) -> Result<Matrix> {
-    match kernel {
-        OrthoKernel::Mgs => merge_sets_mgs(sets, tol),
-        OrthoKernel::Blocked => merge_sets_blocked(sets, tol),
+    let n = cache.first().map_or(0, |c| c.n);
+    let total: usize = cache.iter().flat_map(|c| &c.sets).map(|s| s.cols).sum();
+    let mut data = Vec::with_capacity(n * total);
+    let mut sets = Vec::new();
+    for c in cache {
+        for &s in &c.sets {
+            sets.push(ColumnRange {
+                start: data.len() / n,
+                width: s.cols,
+                cols: s.cols,
+            });
+            c.columns(s).for_each(|col| data.extend_from_slice(col));
+        }
     }
+    merge_candidates(Candidates { n, data, sets }, tol, kernel)
 }
 
 /// The oracle merge: sequential MGS over every candidate in point order.
-fn merge_sets_mgs(sets: &[Vec<Vec<f64>>], tol: f64) -> Result<Matrix> {
-    let mut basis: Vec<Vec<f64>> = Vec::new();
-    for (i, set) in sets.iter().enumerate() {
+fn merge_sets_mgs(cands: &Candidates, tol: f64) -> Result<Matrix> {
+    let n = cands.n;
+    let mut basis: Vec<f64> = Vec::new();
+    let mut k = 0;
+    for (i, &set) in cands.sets.iter().enumerate() {
         let _s = bdsm_obs::timing_span!("krylov.merge", point = i);
-        for v in set {
-            let mut v = v.clone();
-            if orthonormalize_against(&mut v, &basis, tol) {
-                basis.push(v);
+        for v in cands.columns(set) {
+            basis.extend_from_slice(v);
+            let (done, slot) = basis.split_at_mut(k * n);
+            if orthonormalize_against(slot, done, tol) {
+                k += 1;
+            } else {
+                basis.truncate(k * n);
             }
         }
     }
-    finish_merge(basis)
+    finish_merge(basis, n, k)
 }
 
 /// The default merge: per-point panels are pairwise-combined up a fixed
@@ -423,25 +553,33 @@ fn merge_sets_mgs(sets: &[Vec<Vec<f64>>], tol: f64) -> Result<Matrix> {
 /// a pure function of its children, and nodes of one level fan out over
 /// [`crate::par`] — so the basis is bitwise-identical for any worker
 /// count, and column order still follows point order.
-fn merge_sets_blocked(sets: &[Vec<Vec<f64>>], tol: f64) -> Result<Matrix> {
-    let Some(n) = sets.iter().find_map(|s| s.first().map(Vec::len)) else {
-        return finish_merge(Vec::new());
-    };
-    let mut nodes: Vec<Panel> = {
-        let _s = bdsm_obs::timing_span!("krylov.merge", level = 0u64);
-        sets.iter().map(|s| Panel::from_cols(n, s)).collect()
-    };
+///
+/// The tree runs inside the candidate buffer itself: sibling nodes own
+/// disjoint column ranges, and a merge compacts the accepted right-child
+/// columns leftwards in place, so no node is ever copied.
+fn merge_sets_blocked(cands: Candidates, tol: f64) -> Result<Matrix> {
+    let Candidates {
+        n,
+        mut data,
+        sets: mut nodes,
+    } = cands;
     let mut level = 1u64;
     while nodes.len() > 1 {
-        let mut pairs: Vec<(Panel, Option<Panel>)> = Vec::with_capacity(nodes.len().div_ceil(2));
-        let mut it = nodes.drain(..);
-        while let Some(left) = it.next() {
-            pairs.push((left, it.next()));
-        }
-        drop(it);
-        nodes = par::parallel_map(&pairs, |i, (left, right)| {
-            let Some(right) = right else {
-                return left.clone(); // Odd node rides up unchanged.
+        let pairs: Vec<ColumnRange> = nodes
+            .chunks(2)
+            .map(|pair| ColumnRange {
+                start: pair[0].start,
+                width: pair.iter().map(|nd| nd.width).sum(),
+                cols: 0,
+            })
+            .collect();
+        let jobs: Vec<_> = nodes
+            .chunks(2)
+            .zip(split_ranges(&mut data, n, &pairs))
+            .collect();
+        nodes = par::parallel_map(&jobs, |i, (pair, range)| {
+            let &[left, right] = *pair else {
+                return pair[0]; // Odd node rides up unchanged.
             };
             let _s = bdsm_obs::timing_span!(
                 "krylov.merge",
@@ -450,29 +588,89 @@ fn merge_sets_blocked(sets: &[Vec<Vec<f64>>], tol: f64) -> Result<Matrix> {
                 left = left.cols as u64,
                 right = right.cols as u64,
             );
-            let mut q = left.clone();
-            let mut scratch = Vec::new();
-            for chunk in right.to_cols().chunks(ORTHO_PANEL) {
-                blocked_absorb(&mut q, chunk, tol, &mut scratch);
-            }
-            q
+            let mut range = range.lock().unwrap_or_else(PoisonError::into_inner);
+            merge_pair(n, &mut range, left, right, tol)
         });
         level += 1;
     }
-    let root = nodes.pop().unwrap_or_else(|| Panel::empty(0));
-    finish_merge(root.to_cols())
+    let _s = bdsm_obs::timing_span!("krylov.merge", level = level);
+    let k = nodes.first().map_or(0, |root| root.cols);
+    data.truncate(n * k);
+    finish_merge(data, n, k)
 }
 
-fn finish_merge(basis: Vec<Vec<f64>>) -> Result<Matrix> {
-    if basis.is_empty() {
+/// Absorbs `right`'s panel into `left`'s inside their shared column range
+/// `cols` (left's columns first), `ORTHO_PANEL` candidates at a time.
+/// Accepted columns land right after `left`'s panel; each candidate chunk
+/// is copied out before it is absorbed, and no more columns are accepted
+/// than consumed, so the writes never reach an unread candidate.
+fn merge_pair(
+    n: usize,
+    cols: &mut [f64],
+    left: ColumnRange,
+    right: ColumnRange,
+    tol: f64,
+) -> ColumnRange {
+    let mut q = left.cols;
+    let mut cands = Vec::with_capacity(n * ORTHO_PANEL);
+    let mut scratch = Vec::new();
+    for c0 in (left.width..left.width + right.cols).step_by(ORTHO_PANEL) {
+        let c1 = (c0 + ORTHO_PANEL).min(left.width + right.cols);
+        cands.clear();
+        cands.extend_from_slice(&cols[c0 * n..c1 * n]);
+        blocked_absorb(
+            n,
+            &mut cols[..(q + c1 - c0) * n],
+            &mut q,
+            &mut cands,
+            tol,
+            &mut scratch,
+        );
+    }
+    ColumnRange {
+        start: left.start,
+        width: left.width + right.width,
+        cols: q,
+    }
+}
+
+/// Turns the merged column-major `n × k` panel `basis` into the row-major
+/// global basis, reusing its allocation.
+fn finish_merge(mut basis: Vec<f64>, n: usize, k: usize) -> Result<Matrix> {
+    if k == 0 {
         return Err(LinalgError::InvalidArgument {
             what: "krylov: all start vectors deflated; basis is empty",
         });
     }
     if bdsm_obs::enabled(bdsm_obs::ObsLevel::Timings) {
-        bdsm_obs::metrics().basis_columns.set(basis.len() as u64);
+        bdsm_obs::metrics().basis_columns.set(k as u64);
     }
-    Ok(Matrix::from_cols(&basis))
+    col_to_row_major(&mut basis, n, k);
+    Matrix::from_vec(n, k, basis)
+}
+
+/// Reorders a column-major `n × k` matrix into row-major order in place:
+/// entry `(i, j)` moves from `j·n + i` to `i·k + j`, and every cycle of
+/// that permutation is followed once.
+fn col_to_row_major(a: &mut [f64], n: usize, k: usize) {
+    debug_assert_eq!(a.len(), n * k);
+    let mut moved = vec![0u64; a.len().div_ceil(64)];
+    for start in 0..a.len() {
+        if moved[start / 64] >> (start % 64) & 1 == 1 {
+            continue;
+        }
+        let mut carry = a[start];
+        let mut p = start;
+        loop {
+            let q = (p % n) * k + p / n;
+            std::mem::swap(&mut a[q], &mut carry);
+            moved[q / 64] |= 1 << (q % 64);
+            if q == start {
+                break;
+            }
+            p = q;
+        }
+    }
 }
 
 /// Candidate-panel width of the blocked kernel: candidates are absorbed
@@ -480,95 +678,49 @@ fn finish_merge(basis: Vec<Vec<f64>>) -> Result<Matrix> {
 /// GEMM-shaped while the intra-panel cleanup stays tiny.
 const ORTHO_PANEL: usize = 8;
 
-/// A contiguous column-major panel of orthonormal basis columns
-/// (leading dimension = `n`) — the blocked kernel's working currency.
-#[derive(Clone)]
-struct Panel {
-    n: usize,
-    cols: usize,
-    data: Vec<f64>,
-}
-
-impl Panel {
-    fn empty(n: usize) -> Panel {
-        Panel {
-            n,
-            cols: 0,
-            data: Vec::new(),
-        }
-    }
-
-    fn from_cols(n: usize, cols: &[Vec<f64>]) -> Panel {
-        let mut data = Vec::with_capacity(n * cols.len());
-        for c in cols {
-            data.extend_from_slice(c);
-        }
-        Panel {
-            n,
-            cols: cols.len(),
-            data,
-        }
-    }
-
-    fn push_col(&mut self, v: &[f64]) {
-        debug_assert_eq!(v.len(), self.n);
-        self.data.extend_from_slice(v);
-        self.cols += 1;
-    }
-
-    fn col(&self, j: usize) -> &[f64] {
-        &self.data[j * self.n..(j + 1) * self.n]
-    }
-
-    fn to_cols(&self) -> Vec<Vec<f64>> {
-        (0..self.cols).map(|j| self.col(j).to_vec()).collect()
-    }
-}
-
-/// Absorbs a panel of candidate columns into the orthonormal panel `q`:
-/// two block-classical-Gram–Schmidt projection passes against `q`
+/// Absorbs a column-major panel of candidates `v` (leading dimension `n`)
+/// into the orthonormal panel held in the first `*qc` columns of `q`: two
+/// block-classical-Gram–Schmidt projection passes against it
 /// ([`bdsm_linalg::block_project`] — `H = QᵀV; V -= QH` on the contiguous
 /// panel), then a sequential intra-panel MGS sweep with the oracle's
 /// deflation rule (remainder ≤ `tol` × entry norm deflates). Accepted
-/// columns are normalized and appended to `q`; returns how many were.
-fn blocked_absorb(q: &mut Panel, cands: &[Vec<f64>], tol: f64, scratch: &mut Vec<f64>) -> usize {
-    let n = q.n;
-    let pc = cands.len();
+/// columns are normalized, scrubbed of subnormals, and written after the
+/// panel, so `q` must have room for every candidate; `*qc` counts them in.
+fn blocked_absorb(
+    n: usize,
+    q: &mut [f64],
+    qc: &mut usize,
+    v: &mut [f64],
+    tol: f64,
+    scratch: &mut Vec<f64>,
+) {
+    let pc = v.len() / n;
     if pc == 0 {
-        return 0;
+        return;
     }
-    let norm0: Vec<f64> = cands
-        .iter()
-        .map(|v| bdsm_linalg::vector::norm2(v))
-        .collect();
-    let mut v = Vec::with_capacity(n * pc);
-    for c in cands {
-        debug_assert_eq!(c.len(), n);
-        v.extend_from_slice(c);
-    }
-    if q.cols > 0 {
+    debug_assert!(q.len() >= (*qc + pc) * n);
+    let norm0: Vec<f64> = v.chunks_exact(n).map(bdsm_linalg::vector::norm2).collect();
+    if *qc > 0 {
         if bdsm_obs::enabled(bdsm_obs::ObsLevel::Timings) {
             bdsm_obs::metrics().ortho_panel_merges.inc();
         }
         // Two passes = block reorthogonalization, the panel analogue of the
         // oracle's second MGS sweep.
         for _ in 0..2 {
-            bdsm_linalg::block_project(n, q.cols, &q.data, pc, &mut v, scratch);
+            bdsm_linalg::block_project(n, *qc, &q[..*qc * n], pc, v, scratch);
         }
     }
-    let first_new = q.cols;
-    let mut accepted = 0;
-    for j in 0..pc {
+    let first_new = *qc;
+    for (j, col) in v.chunks_exact_mut(n).enumerate() {
         if norm0[j] == 0.0 {
             continue;
         }
-        let col = &mut v[j * n..(j + 1) * n];
+        let (panel, free) = q.split_at_mut(*qc * n);
         // Intra-panel cleanup: two MGS passes against the columns this very
         // panel contributed (everything older is already projected out by
         // the block passes)...
         for _ in 0..2 {
-            for t in first_new..q.cols {
-                let qt = q.col(t);
+            for qt in panel[first_new * n..].chunks_exact(n) {
                 let h = bdsm_linalg::vector::dot(qt, col);
                 bdsm_linalg::vector::axpy(-h, qt, col);
             }
@@ -577,148 +729,170 @@ fn blocked_absorb(q: &mut Panel, cands: &[Vec<f64>], tol: f64, scratch: &mut Vec
         // passes can shrink the column and re-magnify ε-level components
         // against the older columns, and this final sweep restores
         // ε-orthogonality relative to the column's *final* norm.
-        for t in 0..q.cols {
-            let qt = q.col(t);
+        for qt in panel.chunks_exact(n) {
             let h = bdsm_linalg::vector::dot(qt, col);
             bdsm_linalg::vector::axpy(-h, qt, col);
         }
         let norm1 = bdsm_linalg::vector::normalize(col, 0.0);
         if norm1 > tol * norm0[j] {
-            q.push_col(col);
-            accepted += 1;
+            bdsm_linalg::vector::flush_subnormals(col);
+            free[..n].copy_from_slice(col);
+            *qc += 1;
         }
     }
-    accepted
 }
 
-/// A point-local accumulating basis, dispatching between the oracle MGS
-/// path and the blocked panel path so both recurrences stay
-/// kernel-agnostic. `absorb` returns the accepted (orthonormalized)
-/// columns of the block, which the real recurrence feeds forward.
-enum LocalBasis {
-    Mgs(Vec<Vec<f64>>),
-    Blocked { panel: Panel, scratch: Vec<f64> },
+/// A point-local accumulating orthonormal basis, built in place in the
+/// point's column range of the candidate buffer with either kernel, so
+/// both recurrences stay kernel-agnostic.
+struct LocalBasis<'a> {
+    kernel: OrthoKernel,
+    n: usize,
+    /// Column-major; the first `cols` columns are the basis so far, the
+    /// rest is room for every candidate still to come.
+    out: &'a mut [f64],
+    cols: usize,
+    scratch: Vec<f64>,
 }
 
-impl LocalBasis {
-    fn new(kernel: OrthoKernel, n: usize) -> LocalBasis {
-        match kernel {
-            OrthoKernel::Mgs => LocalBasis::Mgs(Vec::new()),
-            OrthoKernel::Blocked => LocalBasis::Blocked {
-                panel: Panel::empty(n),
-                scratch: Vec::new(),
-            },
+impl<'a> LocalBasis<'a> {
+    fn new(kernel: OrthoKernel, n: usize, out: &'a mut [f64]) -> Self {
+        LocalBasis {
+            kernel,
+            n,
+            out,
+            cols: 0,
+            scratch: Vec::new(),
         }
     }
 
-    fn absorb(&mut self, block: Vec<Vec<f64>>, tol: f64) -> Vec<Vec<f64>> {
-        match self {
-            LocalBasis::Mgs(basis) => {
-                let mut kept = Vec::with_capacity(block.len());
-                for mut v in block {
-                    if orthonormalize_against(&mut v, basis, tol) {
-                        basis.push(v.clone());
-                        kept.push(v);
+    /// Orthonormalizes the column-major candidate panel `block` (used as
+    /// scratch) against the basis and appends the columns that survive
+    /// deflation; returns their column indices.
+    fn absorb(&mut self, block: &mut [f64], tol: f64) -> Range<usize> {
+        let n = self.n;
+        let before = self.cols;
+        match self.kernel {
+            OrthoKernel::Mgs => {
+                for v in block.chunks_exact(n) {
+                    let (basis, free) = self.out.split_at_mut(self.cols * n);
+                    let slot = &mut free[..n];
+                    slot.copy_from_slice(v);
+                    if orthonormalize_against(slot, basis, tol) {
+                        self.cols += 1;
                     }
                 }
-                kept
             }
-            LocalBasis::Blocked { panel, scratch } => {
-                let mut kept = Vec::new();
-                for chunk in block.chunks(ORTHO_PANEL) {
-                    let before = panel.cols;
-                    blocked_absorb(panel, chunk, tol, scratch);
-                    for t in before..panel.cols {
-                        kept.push(panel.col(t).to_vec());
-                    }
+            OrthoKernel::Blocked => {
+                for chunk in block.chunks_mut(ORTHO_PANEL * n) {
+                    let room = (self.cols + chunk.len() / n) * n;
+                    blocked_absorb(
+                        n,
+                        &mut self.out[..room],
+                        &mut self.cols,
+                        chunk,
+                        tol,
+                        &mut self.scratch,
+                    );
                 }
-                kept
             }
         }
+        before..self.cols
     }
 
-    fn into_cols(self) -> Vec<Vec<f64>> {
-        match self {
-            LocalBasis::Mgs(basis) => basis,
-            LocalBasis::Blocked { panel, .. } => panel.to_cols(),
-        }
+    fn columns(&self, r: Range<usize>) -> std::slice::ChunksExact<'_, f64> {
+        self.out[r.start * self.n..r.end * self.n].chunks_exact(self.n)
     }
 }
 
-/// Computes one real expansion point's locally-orthonormal candidate set,
-/// given the point's blocked shifted solve `(G + s₀C)⁻¹·` (multi-RHS — the
-/// whole start block and every recurrence block go through one batched
-/// triangular pass) and the `C·` product — the recurrence is
-/// backend-agnostic; only those two operators differ between the dense
-/// oracle and the sparse subsystem.
+/// The input matrix `B` as a column-major panel — the start block's
+/// right-hand sides.
+fn input_panel(b: &Matrix) -> Vec<f64> {
+    (0..b.ncols()).flat_map(|j| b.col(j)).collect()
+}
+
+/// Computes one real expansion point's locally-orthonormal candidate set
+/// into `out` (column-major, room for every candidate) and returns how
+/// many columns it kept, given the point's blocked shifted solve
+/// `(G + s₀C)⁻¹·` on a column-major panel (multi-RHS — the whole start
+/// block and every recurrence block go through one batched triangular
+/// pass) and the `C·` product — the recurrence is backend-agnostic; only
+/// those two operators differ between the dense oracle and the sparse
+/// subsystem. Every solve is scrubbed of subnormals (see the module docs).
 fn real_point_candidates(
     b: &Matrix,
     opts: &KrylovOpts,
-    solve_block: impl Fn(&[Vec<f64>]) -> Result<Vec<Vec<f64>>>,
+    solve_block: impl Fn(&[f64]) -> Result<Vec<f64>>,
     apply_c: impl Fn(&[f64]) -> Result<Vec<f64>>,
-) -> Result<Vec<Vec<f64>>> {
-    let mut local = LocalBasis::new(opts.ortho, b.nrows());
+    out: &mut [f64],
+) -> Result<usize> {
+    let mut local = LocalBasis::new(opts.ortho, b.nrows(), out);
     // Start block R = (G + s0 C)^{-1} B, all inputs in one batched solve.
-    let bcols: Vec<Vec<f64>> = (0..b.ncols()).map(|j| b.col(j)).collect();
-    let mut block = solve_block(&bcols)?;
-    for moment in 0..opts.moments_per_point {
-        if moment > 0 {
-            // Next block: v ← (G + s0 C)^{-1} C v. Using the
-            // orthonormalized previous block preserves the Krylov span.
-            let rhs: Vec<Vec<f64>> = block.iter().map(|v| apply_c(v)).collect::<Result<_>>()?;
-            block = solve_block(&rhs)?;
+    let mut block = solve_block(&input_panel(b))?;
+    for moment in 1..=opts.moments_per_point {
+        bdsm_linalg::vector::flush_subnormals(&mut block);
+        let kept = local.absorb(&mut block, opts.deflation_tol);
+        if kept.is_empty() || moment == opts.moments_per_point {
+            break; // The subspace is exhausted at this point, or matched.
         }
-        let kept = local.absorb(block, opts.deflation_tol);
-        if kept.is_empty() {
-            break; // The subspace is exhausted at this point.
+        // Next block: v ← (G + s0 C)^{-1} C v. Using the orthonormalized
+        // previous block preserves the Krylov span.
+        let mut rhs = Vec::with_capacity(kept.len() * b.nrows());
+        for v in local.columns(kept) {
+            rhs.extend(apply_c(v)?);
         }
-        block = kept;
+        block = solve_block(&rhs)?;
     }
-    Ok(local.into_cols())
+    Ok(local.cols)
 }
 
 /// Computes one imaginary-axis expansion point's (`s₀ = jω₀`) candidate
-/// set, splitting each complex vector into real and imaginary directions
-/// while the complex recurrence keeps running on the raw vectors.
+/// set into `out` and returns how many columns it kept, splitting each
+/// complex vector into real and imaginary directions while the complex
+/// recurrence keeps running on the raw (subnormal-scrubbed) vectors.
 fn jomega_point_candidates(
     b: &Matrix,
     opts: &KrylovOpts,
-    solve_start_block: impl Fn(&[Vec<f64>]) -> Result<Vec<Vec<Complex64>>>,
-    solve_block: impl Fn(&[Vec<Complex64>]) -> Result<Vec<Vec<Complex64>>>,
+    solve_start_block: impl Fn(&[f64]) -> Result<Vec<Complex64>>,
+    solve_block: impl Fn(&[Complex64]) -> Result<Vec<Complex64>>,
     apply_c: impl Fn(&[Complex64]) -> Result<Vec<Complex64>>,
-) -> Result<Vec<Vec<f64>>> {
-    let mut local = LocalBasis::new(opts.ortho, b.nrows());
+    out: &mut [f64],
+) -> Result<usize> {
+    let n = b.nrows();
+    let mut local = LocalBasis::new(opts.ortho, n, out);
     // Complex start block R = (G + jω₀C)^{-1} B, batched over the inputs.
-    let bcols: Vec<Vec<f64>> = (0..b.ncols()).map(|j| b.col(j)).collect();
-    let mut block = solve_start_block(&bcols)?;
-    for moment in 0..opts.moments_per_point {
-        if moment > 0 {
-            // v ← (G + jω₀C)^{-1} C v, with C real and v complex.
-            let rhs: Vec<Vec<Complex64>> =
-                block.iter().map(|v| apply_c(v)).collect::<Result<_>>()?;
-            block = solve_block(&rhs)?;
+    let mut block = solve_start_block(&input_panel(b))?;
+    let mut parts = Vec::with_capacity(2 * block.len());
+    for moment in 1..=opts.moments_per_point {
+        bdsm_linalg::vector::flush_subnormals_complex(&mut block);
+        parts.clear();
+        for v in block.chunks_exact(n) {
+            parts.extend(v.iter().map(|z| z.re));
+            parts.extend(v.iter().map(|z| z.im));
         }
-        let parts: Vec<Vec<f64>> = block
-            .iter()
-            .flat_map(|v| {
-                [
-                    v.iter().map(|z| z.re).collect::<Vec<f64>>(),
-                    v.iter().map(|z| z.im).collect::<Vec<f64>>(),
-                ]
-            })
-            .collect();
-        if local.absorb(parts, opts.deflation_tol).is_empty() {
+        if local.absorb(&mut parts, opts.deflation_tol).is_empty()
+            || moment == opts.moments_per_point
+        {
             break;
         }
+        // v ← (G + jω₀C)^{-1} C v, with C real and v complex.
+        let mut rhs = Vec::with_capacity(block.len());
+        for v in block.chunks_exact(n) {
+            rhs.extend(apply_c(v)?);
+        }
+        block = solve_block(&rhs)?;
     }
-    Ok(local.into_cols())
+    Ok(local.cols)
 }
 
-/// Orthogonalizes `v` against `basis` (two MGS passes) and normalizes it.
+/// Orthogonalizes `v` against the column-major orthonormal `basis` (two
+/// MGS passes), normalizes it, and scrubs its subnormal entries — the same
+/// post-normalization step as the blocked kernel, so the two keep their
+/// parity.
 ///
 /// Returns `false` — leaving `v` unspecified — when the remainder falls
 /// below `tol` times the original norm (deflation).
-fn orthonormalize_against(v: &mut [f64], basis: &[Vec<f64>], tol: f64) -> bool {
+fn orthonormalize_against(v: &mut [f64], basis: &[f64], tol: f64) -> bool {
     let norm0 = bdsm_linalg::vector::norm2(v);
     if norm0 == 0.0 {
         return false;
@@ -728,12 +902,13 @@ fn orthonormalize_against(v: &mut [f64], basis: &[Vec<f64>], tol: f64) -> bool {
         bdsm_obs::metrics().mgs_reorth_passes.inc();
     }
     for _ in 0..2 {
-        for q in basis {
+        for q in basis.chunks_exact(v.len()) {
             let h = bdsm_linalg::vector::dot(q, v);
             bdsm_linalg::vector::axpy(-h, q, v);
         }
     }
     let norm1 = bdsm_linalg::vector::normalize(v, 0.0);
+    bdsm_linalg::vector::flush_subnormals(v);
     norm1 > tol * norm0
 }
 
@@ -920,6 +1095,17 @@ mod tests {
             global_krylov_basis(&g, &c, &b, &opts),
             Err(LinalgError::Singular { .. })
         ));
+    }
+
+    #[test]
+    fn col_to_row_major_matches_an_out_of_place_transpose() {
+        for (n, k) in [(100, 7), (64, 3), (31, 4), (33, 1), (1, 5)] {
+            let src: Vec<f64> = (0..n * k).map(|x| x as f64).collect();
+            let want: Vec<f64> = (0..n * k).map(|p| src[(p % k) * n + p / k]).collect();
+            let mut got = src.clone();
+            col_to_row_major(&mut got, n, k);
+            assert_eq!(got, want, "n = {n}, k = {k}");
+        }
     }
 
     #[test]

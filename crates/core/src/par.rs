@@ -410,22 +410,27 @@ mod tests {
     fn pipelined_state_spans_both_stages() {
         // The same per-worker state value must be visible to produce and
         // consume; outputs stay a pure function of the item regardless.
+        // Each state carries its worker's id, and a produced value names the
+        // worker that made it: a worker may consume an item another worker
+        // produced, but a consume on the producing worker must see both calls.
+        let ids = AtomicUsize::new(0);
         let items: Vec<usize> = (0..64).collect();
         let out = pipelined_map_with(
             &items,
-            || 0usize,
-            |calls, _, &v| {
+            || (ids.fetch_add(1, Ordering::Relaxed), 0usize),
+            |(id, calls), _, &v| {
                 *calls += 1;
-                v
+                (v, *id)
             },
-            |calls, _, _, p: usize| {
+            |(id, calls), _, _, (p, producer): (usize, usize)| {
                 *calls += 1;
-                (p, *calls)
+                (p, *calls, producer == *id)
             },
         );
-        for (i, &(v, calls)) in out.iter().enumerate() {
+        for (i, &(v, calls, same_worker)) in out.iter().enumerate() {
             assert_eq!(v, i);
-            assert!(calls >= 2 && calls <= 2 * items.len());
+            let floor = if same_worker { 2 } else { 1 };
+            assert!(calls >= floor && calls <= 2 * items.len());
         }
     }
 

@@ -116,19 +116,18 @@ impl BlockDiagProjector {
         // over the shared work queue of `crate::par` — dynamic scheduling
         // absorbs whatever imbalance the rank structure introduces, and the
         // results land in block order, keeping the projector deterministic
-        // for any worker count.
-        let mut slices = Vec::with_capacity(block_sizes.len());
+        // for any worker count. Each task copies out its own row slice, so
+        // only the slices in flight are alive at once.
+        let mut rows = Vec::with_capacity(block_sizes.len());
         let mut row0 = 0;
-        for (bi, &size) in block_sizes.iter().enumerate() {
-            slices.push((
-                global.submatrix(row0, row0 + size, 0, global.ncols()),
-                &interface_local[bi],
-            ));
+        for (&size, iface) in block_sizes.iter().zip(interface_local) {
+            rows.push((row0, size, iface));
             row0 += size;
         }
-        let blocks = crate::par::parallel_map(&slices, |bi, (slice, iface)| {
-            let _s = bdsm_obs::span!("svd.block", block = bi, rows = slice.nrows());
-            compress_block_interface(slice, rank_tol, max_block_dim, iface)
+        let blocks = crate::par::parallel_map(&rows, |bi, &(row0, size, iface)| {
+            let _s = bdsm_obs::span!("svd.block", block = bi, rows = size);
+            let slice = global.submatrix(row0, row0 + size, 0, global.ncols());
+            compress_block_interface(&slice, rank_tol, max_block_dim, iface)
         })
         .into_iter()
         .collect::<Result<Vec<Matrix>>>()?;
@@ -470,9 +469,12 @@ fn compress_block_interface(
 /// orthonormal block basis.
 ///
 /// Krylov content decays exponentially away from the ports, so a far
-/// block's slice can be tiny down to subnormal. Normalizing each column
-/// (and dropping numerically dead ones) keeps every moment direction that
-/// reaches the block, at any magnitude, and protects the Jacobi SVD from
+/// block's slice can be tiny. The basis holds no subnormal entries (the
+/// Krylov recurrences scrub them, see [`crate::krylov`]), and a slice
+/// whose norm is ≤ 1e-150 is dropped as numerically dead, so a scrubbed
+/// entry was more than 10¹⁵⁷ below any slice that is kept. Normalizing
+/// each surviving column keeps every moment direction that reaches the
+/// block, at any magnitude, and protects the Jacobi SVD from
 /// under/overflow. A block whose slice is numerically zero keeps a single
 /// canonical unit vector so every block retains at least one reduced state.
 fn compress_block_slice(

@@ -125,6 +125,21 @@ fn blocked_matches_mgs_on_loaded_ladder() {
 }
 
 #[test]
+fn blocked_matches_mgs_on_decaying_ladder() {
+    // A 0.5 Ω tap on every bus: the far interior of each raw solve is
+    // subnormal, so both kernels run on scrubbed vectors here. One moment:
+    // at two, the second block's ill-conditioned solve already splits the
+    // unscrubbed kernels' spans by 3e-3 (the mesh effect of the module
+    // docs), scrub or not.
+    sparse_parity_on(
+        &rc_ladder_loaded(600, 1.0, 1e-3, 0.5, 1),
+        1,
+        1e-8,
+        "decaying ladder",
+    );
+}
+
+#[test]
 fn blocked_matches_mgs_on_rc_grid() {
     sparse_parity_on(&rc_grid(13, 14, 1.0, 1e-3, 2.0), 2, 1e-6, "grid");
 }

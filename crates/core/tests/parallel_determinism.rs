@@ -72,6 +72,33 @@ fn reduced_model_is_bitwise_invariant_under_thread_count() {
     }
 }
 
+/// The same bar on a ladder whose raw shifted solves hold subnormals: the
+/// scrub after every solve and normalization is a pure function of each
+/// vector, so it must not make the result depend on the worker count.
+#[test]
+fn decaying_ladder_is_bitwise_invariant_under_thread_count() {
+    let _guard = ENV_LOCK.lock().unwrap();
+    let net = rc_ladder_loaded(600, 1.0, 1e-3, 0.5, 1);
+    let opts = engine_opts();
+    let prev = std::env::var("BDSM_THREADS").ok();
+    let mut outputs = Vec::new();
+    for threads in ["1", "2", "5"] {
+        std::env::set_var("BDSM_THREADS", threads);
+        outputs.push((threads, model_bytes(&reduce_network(&net, &opts).unwrap())));
+    }
+    match prev {
+        Some(v) => std::env::set_var("BDSM_THREADS", v),
+        None => std::env::remove_var("BDSM_THREADS"),
+    }
+    let (_, ref reference) = outputs[0];
+    for (threads, bytes) in &outputs[1..] {
+        assert_eq!(
+            bytes, reference,
+            "decaying-ladder model differs between 1 and {threads} workers"
+        );
+    }
+}
+
 /// The tentpole bar at scale: a full 10⁴-state reduce — pipelined shift
 /// factorizations feeding the panel-blocked merge tree — must stay
 /// bitwise-identical across worker counts. The merge tree's shape is a

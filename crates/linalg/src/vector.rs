@@ -4,6 +4,8 @@
 //! [`crate::dense::Matrix`] columns and ad-hoc work buffers without forcing a
 //! particular container type.
 
+use crate::Complex64;
+
 /// Dot product `xᵀ y`.
 ///
 /// # Panics
@@ -91,6 +93,33 @@ pub fn zero(x: &mut [f64]) {
     }
 }
 
+/// Sets every subnormal entry of `x` to `+0.0`; normals, `±0`, `±∞` and
+/// NaN keep their bits.
+///
+/// Subnormal operands take a microcode-assist slow path through every
+/// multiply–add on common hardware, so a Krylov vector whose far tail has
+/// decayed below [`f64::MIN_POSITIVE`] is scrubbed before it feeds the
+/// next kernel.
+pub fn flush_subnormals(x: &mut [f64]) {
+    for v in x.iter_mut() {
+        if v.is_subnormal() {
+            *v = 0.0;
+        }
+    }
+}
+
+/// [`flush_subnormals`] on the real and imaginary part of every entry.
+pub fn flush_subnormals_complex(x: &mut [Complex64]) {
+    for z in x.iter_mut() {
+        if z.re.is_subnormal() {
+            z.re = 0.0;
+        }
+        if z.im.is_subnormal() {
+            z.im = 0.0;
+        }
+    }
+}
+
 /// Relative difference `‖x − y‖₂ / max(‖y‖₂, floor)`.
 ///
 /// Used pervasively by tests and by the accuracy experiments (Fig. 5b of the
@@ -163,6 +192,56 @@ mod tests {
         let n = normalize(&mut x, 1e-200);
         assert!(n < 1e-200);
         assert_eq!(x[0], 1e-320);
+    }
+
+    /// Every class of `f64` the flush must tell apart: subnormals of both
+    /// signs and at both ends of the range, then values that keep their
+    /// bits.
+    const SUBNORMALS: [f64; 4] = [5e-324, -5e-324, 1e-310, -2.2e-308];
+    const KEPT: [f64; 9] = [
+        f64::MIN_POSITIVE,
+        -f64::MIN_POSITIVE,
+        1.0,
+        -3.5e-200,
+        0.0,
+        -0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+    ];
+
+    #[test]
+    fn flush_subnormals_zeroes_only_subnormals() {
+        let mut x: Vec<f64> = SUBNORMALS.iter().chain(&KEPT).copied().collect();
+        assert!(SUBNORMALS.iter().all(|v| v.is_subnormal()));
+        flush_subnormals(&mut x);
+        for v in &x[..SUBNORMALS.len()] {
+            assert_eq!(v.to_bits(), 0.0f64.to_bits(), "subnormal not flushed to +0");
+        }
+        for (got, want) in x[SUBNORMALS.len()..].iter().zip(&KEPT) {
+            assert_eq!(got.to_bits(), want.to_bits(), "{want} changed bits");
+        }
+    }
+
+    #[test]
+    fn flush_subnormals_complex_treats_parts_independently() {
+        let mut x: Vec<Complex64> = SUBNORMALS
+            .iter()
+            .zip(KEPT.iter().cycle())
+            .map(|(&s, &k)| Complex64::new(s, k))
+            .chain(KEPT.iter().map(|&k| Complex64::new(k, k)))
+            .collect();
+        flush_subnormals_complex(&mut x);
+        for (z, k) in x[..SUBNORMALS.len()].iter().zip(&KEPT) {
+            assert_eq!(z.re.to_bits(), 0.0f64.to_bits());
+            assert_eq!(z.im.to_bits(), k.to_bits());
+        }
+        for (z, k) in x[SUBNORMALS.len()..].iter().zip(&KEPT) {
+            assert_eq!((z.re.to_bits(), z.im.to_bits()), (k.to_bits(), k.to_bits()));
+        }
+        let mut y = vec![Complex64::new(1.0, -1e-310)];
+        flush_subnormals_complex(&mut y);
+        assert_eq!((y[0].re, y[0].im.to_bits()), (1.0, 0.0f64.to_bits()));
     }
 
     #[test]

@@ -291,7 +291,16 @@ impl RomArtifact {
     }
 
     fn to_bytes_versioned(&self, version: u32) -> Vec<u8> {
-        let mut w = Writer::new();
+        // A sizing pass first, so the buffer is allocated once at its final
+        // length: payload plus the trailing checksum.
+        let mut sizer = Writer::sizer();
+        self.write_payload(version, &mut sizer);
+        let mut w = Writer::with_capacity(sizer.len + CHECKSUM_LEN);
+        self.write_payload(version, &mut w);
+        w.finish()
+    }
+
+    fn write_payload(&self, version: u32, w: &mut Writer) {
         w.bytes(&MAGIC);
         w.u32(version);
         w.str(&self.provenance.engine_version);
@@ -341,9 +350,8 @@ impl RomArtifact {
         });
         w.usizes(&self.provenance.kept_buses);
         if version >= 3 {
-            write_certificate(&mut w, &self.provenance.certificate);
+            write_certificate(w, &self.provenance.certificate);
         }
-        w.finish()
     }
 
     /// Deserializes the binary format, validating magic, version,
@@ -719,30 +727,45 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Little-endian section writer.
+/// Length of the trailing FNV-1a digest.
+const CHECKSUM_LEN: usize = 8;
+
+/// Little-endian section writer. A sizer (`buf: None`) only counts the
+/// bytes it would write.
 struct Writer {
-    buf: Vec<u8>,
+    buf: Option<Vec<u8>>,
+    len: usize,
 }
 
 impl Writer {
-    fn new() -> Self {
-        Writer { buf: Vec::new() }
+    fn sizer() -> Self {
+        Writer { buf: None, len: 0 }
+    }
+
+    fn with_capacity(capacity: usize) -> Self {
+        Writer {
+            buf: Some(Vec::with_capacity(capacity)),
+            len: 0,
+        }
     }
 
     fn bytes(&mut self, b: &[u8]) {
-        self.buf.extend_from_slice(b);
+        self.len += b.len();
+        if let Some(buf) = &mut self.buf {
+            buf.extend_from_slice(b);
+        }
     }
 
     fn u8(&mut self, v: u8) {
-        self.buf.push(v);
+        self.bytes(&[v]);
     }
 
     fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.bytes(&v.to_le_bytes());
     }
 
     fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.bytes(&v.to_le_bytes());
     }
 
     fn f64(&mut self, v: f64) {
@@ -783,10 +806,11 @@ impl Writer {
         }
     }
 
-    fn finish(mut self) -> Vec<u8> {
-        let checksum = fnv1a(&self.buf);
-        self.u64(checksum);
-        self.buf
+    fn finish(self) -> Vec<u8> {
+        let mut buf = self.buf.expect("a sizer has no bytes to finish");
+        let checksum = fnv1a(&buf);
+        buf.extend_from_slice(&checksum.to_le_bytes());
+        buf
     }
 }
 
@@ -994,6 +1018,14 @@ mod tests {
         assert!(a.bitwise_eq(&back));
         assert_eq!(a, back);
         assert_eq!(back.c[(0, 1)].to_bits(), (-0.0_f64).to_bits());
+    }
+
+    #[test]
+    fn bytes_are_allocated_at_their_final_length() {
+        let a = tiny_artifact();
+        for bytes in [a.to_bytes(), a.to_bytes_v2()] {
+            assert_eq!(bytes.capacity(), bytes.len());
+        }
     }
 
     #[test]
